@@ -338,16 +338,19 @@ def _plan_insert_python(
 def apply_insert(tree: LabeledTree, plan: InsertPlan) -> None:
     """Splice a planned insertion into the tree's flat arrays.
 
-    Every container is *replaced*, never written in place -- including
-    the element list -- so a reader that grabbed references before the
-    splice keeps a complete, internally consistent pre-splice view (the
-    contract O(1) service snapshots rely on).
+    The label arrays are *replaced*, never written in place, and the
+    element list is edited in place only while the tree owns it: a list
+    that was ever handed out (:meth:`LabeledTree.share_elements`) is
+    never written again -- :meth:`LabeledTree.own_elements` copies it
+    first.  So a reader that grabbed references before the splice keeps
+    a complete, internally consistent pre-splice view (the contract
+    O(1) service snapshots rely on).
     """
     pos, size = plan.position, plan.size
     shifted_parents = np.where(
         tree.parent_index >= pos, tree.parent_index + size, tree.parent_index
     )
-    tree.elements = [*tree.elements[:pos], *plan.elements, *tree.elements[pos:]]
+    tree.own_elements()[pos:pos] = plan.elements
     tree.start = np.concatenate([tree.start[:pos], plan.start, tree.start[pos:]])
     tree.end = np.concatenate([tree.end[:pos], plan.end, tree.end[pos:]])
     tree.level = np.concatenate([tree.level[:pos], plan.level, tree.level[pos:]])
@@ -427,8 +430,9 @@ def apply_delete(tree: LabeledTree, index: int) -> tuple[int, int]:
     freed labels rejoin the gap at the parent, available to later
     inserts.  The caller is responsible for the document-model side
     (detaching the element from its parent's child list).  As with
-    :func:`apply_insert`, every container -- element list included --
-    is replaced rather than mutated, preserving pre-splice views.
+    :func:`apply_insert`, the label arrays are replaced and the element
+    list is written only while owned (copied first if it was ever
+    handed out), preserving pre-splice views.
     """
     if not 0 <= index < len(tree):
         raise IndexError(f"node index {index} outside the tree")
@@ -438,7 +442,7 @@ def apply_delete(tree: LabeledTree, index: int) -> tuple[int, int]:
     keep[pos : pos + count] = False
     parents = tree.parent_index[keep]
     parents = np.where(parents >= pos + count, parents - count, parents)
-    tree.elements = [*tree.elements[:pos], *tree.elements[pos + count :]]
+    del tree.own_elements()[pos : pos + count]
     tree.start = tree.start[keep]
     tree.end = tree.end[keep]
     tree.level = tree.level[keep]

@@ -67,6 +67,12 @@ class LabeledTree:
         histogram grid spans ``[0, max_label]``.
     """
 
+    #: Whether ``elements`` is this tree's private list (safe to splice
+    #: in place).  Shared by default: trees assembled with ``__new__``
+    #: (:meth:`shared_view`, the lazy-open path) adopt a list someone
+    #: else may hold.  See :meth:`share_elements` for the rule.
+    _owns_elements = False
+
     def __init__(
         self,
         elements: Sequence[Element],
@@ -77,6 +83,7 @@ class LabeledTree:
         max_label: int,
     ) -> None:
         self.elements = list(elements)
+        self._owns_elements = True
         self.start = start
         self.end = end
         self.level = level
@@ -92,15 +99,17 @@ class LabeledTree:
         """A frozen view sharing ``source``'s containers by reference.
 
         O(1): no array or list is copied.  Sound because every
-        maintenance path *replaces* the label arrays and the element
-        list rather than writing into them (see
+        maintenance path *replaces* the label arrays rather than writing
+        into them, and the element list is taken with
+        :meth:`share_elements` -- a list that was ever handed out is
+        never written again (see
         :func:`repro.labeling.dynamic.apply_insert` /
         :func:`~repro.labeling.dynamic.apply_delete` and
         :meth:`replace_contents`), so the view stays a complete
         pre-mutation state forever.  This is what service snapshots pin.
         """
         view = cls.__new__(cls)
-        view.elements = source.elements
+        view.elements = source.share_elements()
         view.start = source.start
         view.end = source.end
         view.level = source.level
@@ -125,12 +134,32 @@ class LabeledTree:
         survive a full relabeling without re-wiring their references.
         """
         self.elements = list(elements)
+        self._owns_elements = True
         self.start = start
         self.end = end
         self.level = level
         self.parent_index = parent_index
         self.max_label = max_label
         self._index_of = None
+
+    def share_elements(self) -> list[Element]:
+        """Hand the element list out by reference (O(1)).
+
+        The rule every holder relies on: *a list that was ever handed
+        out is never written again*.  The tree gives up ownership here,
+        so the next splice copies first (:meth:`own_elements`) and the
+        holder keeps a complete pre-splice state forever.
+        """
+        self._owns_elements = False
+        return self.elements
+
+    def own_elements(self) -> list[Element]:
+        """The element list, private to this tree and safe to edit in
+        place -- copied first (once) if it was ever handed out."""
+        if not self._owns_elements:
+            self.elements = list(self.elements)
+            self._owns_elements = True
+        return self.elements
 
     def invalidate_element_index(self) -> None:
         """Drop the element-identity index after a structural mutation."""

@@ -8,7 +8,7 @@ statistics subsystem must.  See
 :class:`~repro.service.service.EstimationService`.
 """
 
-from repro.service.batch import BatchError, BatchResult, DeleteOp, InsertOp
+from repro.service.batch import BatchError, BatchResult, DeleteOp, InsertOp, NodeRef
 from repro.service.client import (
     ClientSnapshot,
     ClientTimeout,
@@ -60,6 +60,7 @@ __all__ = [
     "Follower",
     "InsertOp",
     "MAX_LINE_BYTES",
+    "NodeRef",
     "OverloadedError",
     "ProtocolError",
     "ReadOnlyError",

@@ -41,9 +41,14 @@ does the batch fall back to relabeling the whole forest and finishing
 under a full statistics rebuild.  Batches are atomic with respect
 to failures: every operation's document-model mutation is journalled as
 it is applied, and if a later operation fails -- even half-way through
-its own splice -- the journal is unwound and the pre-batch label arrays
-are restored, so the service is left bit-identical to its pre-batch
-state before :class:`BatchError` propagates.  (Summary maintenance has
+its own splice -- the journal is unwound and the pre-batch label table
+is restored, so the service is left bit-identical to its pre-batch
+state before :class:`BatchError` propagates.  The pre-batch references
+stay valid because splices replace the label arrays and never write an
+element list that was handed out (the applier takes its rollback image
+with :meth:`~repro.labeling.interval.LabeledTree.share_elements`, so the
+first splice of the batch copies the list once and the rest edit that
+copy in place).  (Summary maintenance has
 not started at that point: histograms, catalog, and coverage numerators
 are only touched by the flush, which runs after every operation
 succeeded.)  A failure *inside* the flush is repaired with a full
@@ -80,7 +85,22 @@ from repro.labeling.interval import label_forest, relabel_preorder
 from repro.predicates.base import Predicate
 from repro.xmltree.tree import Element
 
-Target = Union[Element, int]
+
+@dataclass(frozen=True)
+class NodeRef:
+    """An operation target by pre-order index in the *pre-batch* tree.
+
+    The in-memory twin of the write-ahead log's ``["node", i]``: unlike
+    a bare ``int`` (interpreted against the tree as earlier operations
+    of the batch left it), the applier tracks it through those
+    operations exactly like an :class:`Element` handle -- without ever
+    needing an element -> index map.
+    """
+
+    index: int
+
+
+Target = Union[Element, int, NodeRef]
 
 
 @dataclass
@@ -198,7 +218,9 @@ class BatchApplier:
         # Pre-batch indices of surviving nodes whose labels a local
         # rebalance moved; the flush re-files their cells (-old/+new).
         self.moved_old = np.empty(0, dtype=np.int64)
-        self._initial_index: Optional[dict[int, int]] = None
+        # id(element) -> pre-batch index, for this batch's element
+        # targets only.
+        self._initial_index: dict[int, int] = {}
         # Document-model journal for rollback: ("insert", subtree_root)
         # and ("delete", element, parent, child_slot) entries in apply
         # order, recorded *before* each mutation so a failure half-way
@@ -215,25 +237,27 @@ class BatchApplier:
         service._sync_coverage_numerators()
 
         # Element handles resolve through the pre-batch numbering plus
-        # position tracking; the index must be frozen before the first
-        # splice shifts anything.
-        if any(
-            isinstance(op.parent if isinstance(op, InsertOp) else op.node, Element)
-            for op in plan
-        ):
-            self._initial_index = {
-                id(e): i for i, e in enumerate(self.tree.elements)
-            }
+        # position tracking; their indices must be looked up before the
+        # first splice shifts anything.  (A miss is an element inserted
+        # earlier in this batch -- ``inserted_slot`` will know it -- or
+        # one not in the tree, which ``_resolve`` reports.)
+        for op in plan:
+            target = op.parent if isinstance(op, InsertOp) else op.node
+            if isinstance(target, Element):
+                try:
+                    self._initial_index[id(target)] = self.tree.index_of(target)
+                except KeyError:
+                    pass
 
-        # Pre-batch view: splices replace every container (the element
-        # list included) rather than mutating them, so plain references
+        # Pre-batch view: splices replace the label arrays and never
+        # write an element list that was handed out, so plain references
         # are a consistent snapshot -- and double as the rollback image.
         self.start0 = self.tree.start
         self.end0 = self.tree.end
         self.parent0 = self.tree.parent_index
         self.level0 = self.tree.level
         self.max_label0 = self.tree.max_label
-        self.elements0 = self.tree.elements
+        self.elements0 = self.tree.share_elements()
         self.tracker0 = service._ckpt_tracker  # replaced, never mutated
         self.orig_pos = np.arange(len(self.tree), dtype=np.int64)
 
@@ -245,6 +269,7 @@ class BatchApplier:
                 else:
                     self._apply_delete(op)
                 applied += 1
+            self._compose_tracker()
         except Exception as exc:
             self._rollback()
             if applied == 0:
@@ -338,27 +363,31 @@ class BatchApplier:
         Integers are interpreted against the tree as already mutated by
         the batch's earlier operations (sequential semantics); elements
         resolve through the position tracking, so handles stay valid no
-        matter how earlier operations shifted the numbering.
+        matter how earlier operations shifted the numbering, and so do
+        :class:`NodeRef` pre-batch indices.
         """
-        if not isinstance(target, Element):
+        if isinstance(target, NodeRef):
+            initial = target.index
+            if not 0 <= initial < len(self.orig_pos):
+                raise IndexError(f"node index {initial} outside the tree")
+        elif not isinstance(target, Element):
             index = int(target)
             if not 0 <= index < len(self.tree):
                 raise IndexError(f"node index {index} outside the tree")
             return index
-        key = id(target)
-        slot = self.inserted_slot.get(key)
-        if slot is not None:
-            record, local = slot
-            if not record.alive[local]:
-                raise ValueError(
-                    "operation targets a node deleted earlier in the batch"
-                )
-            return int(record.positions[local])
-        if self._initial_index is None:
-            raise ValueError("operation targets an element not in the tree")
-        initial = self._initial_index.get(key)
-        if initial is None:
-            raise ValueError("operation targets an element not in the tree")
+        else:
+            key = id(target)
+            slot = self.inserted_slot.get(key)
+            if slot is not None:
+                record, local = slot
+                if not record.alive[local]:
+                    raise ValueError(
+                        "operation targets a node deleted earlier in the batch"
+                    )
+                return int(record.positions[local])
+            initial = self._initial_index.get(key)
+            if initial is None:
+                raise ValueError("operation targets an element not in the tree")
         current = int(self.orig_pos[initial])
         if current < 0:
             raise ValueError(
@@ -402,7 +431,6 @@ class BatchApplier:
             self.tree.elements[parent_index], subtree, op.position
         )
         apply_insert(self.tree, plan)
-        self.service._track_insert(plan.position, plan.size)
         self._shift_up(plan.position, plan.size)
         self._track_insert(plan.elements, plan.position)
 
@@ -504,10 +532,23 @@ class BatchApplier:
         parent_element.children.remove(element)
         element.parent = None
         apply_delete(self.tree, index)
-        self.service._track_delete(position, count)
         self.touched += count
         self.deletes += 1
         self.nodes_deleted += count
+
+    def _compose_tracker(self) -> None:
+        """Carry the incremental-checkpoint tracker across the whole
+        splice pass in one scatter: surviving pre-batch nodes keep their
+        full-checkpoint index at their post-batch position, everything
+        else was inserted since (``-1``).  A mid-batch rebalance or
+        relabel already dropped the tracker, and it stays dropped."""
+        service = self.service
+        if service._ckpt_tracker is None:
+            return
+        alive = np.flatnonzero(self.orig_pos >= 0)
+        tracker = np.full(len(self.tree), -1, dtype=np.int64)
+        tracker[self.orig_pos[alive]] = self.tracker0[alive]
+        service._ckpt_tracker = tracker
 
     # -- net-delta flush ---------------------------------------------------
 

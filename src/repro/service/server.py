@@ -50,10 +50,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from repro.predicates.base import TagPredicate
-from repro.service.batch import BatchError, DeleteOp, InsertOp
+from repro.service.batch import BatchError, DeleteOp, InsertOp, NodeRef
 from repro.service.faults import NET_RECV, NET_SEND
 from repro.service.protocol import (
     MAX_LINE_BYTES,
@@ -158,26 +156,20 @@ class OpSpec:
     def resolve(self, service) -> tuple[Any, int]:
         """``(InsertOp | DeleteOp, node_count)`` against the current tree.
 
-        Element handles (not raw indices) go into the batch op, so a
-        grouped flush keeps targeting the right nodes however earlier
-        ops of the same group shift the numbering.
+        Pre-batch :class:`~repro.service.batch.NodeRef` targets (not
+        raw indices) go into the batch op, so a grouped flush keeps
+        targeting the right nodes however earlier ops of the same group
+        shift the numbering.
         """
         index = _locate(service, self.target)
-        element = service.tree.elements[index]
         if self.kind == "insert":
             subtree = _detached_subtree(self.xml)
             return (
-                InsertOp(element, subtree, self.position),
+                InsertOp(NodeRef(index), subtree, self.position),
                 sum(1 for _ in subtree.iter()),
             )
-        start = int(service.tree.start[index])
-        end = int(service.tree.end[index])
-        nodes = int(
-            np.count_nonzero(
-                (service.tree.start >= start) & (service.tree.end <= end)
-            )
-        )
-        return DeleteOp(element), nodes
+        sub = service.tree.subtree_slice(index)
+        return DeleteOp(NodeRef(index)), sub.stop - sub.start
 
 
 class Ticket:
@@ -685,6 +677,8 @@ class ServiceEngine:
                 ticket.resolve(exception_response(exc, ticket.request))
                 continue
             resolved.append((ticket, op, nodes))
+        # Every ack below is sent only after the read view moved to the
+        # epoch that holds its op: an ack means visible.
         if resolved:
             try:
                 result = service.apply_batch([op for _, op, _ in resolved])
@@ -694,31 +688,30 @@ class ServiceEngine:
                     # the service re-synchronised with a rebuild.  Report
                     # success.
                     self._record_flush(len(resolved))
+                    self._refresh_view()
                     for ticket, _, nodes in resolved:
                         self._finish_op(ticket, nodes, True, len(resolved))
                 else:
                     self._retry_singly([t for t, _, _ in resolved])
-                self._refresh_view()
             except Exception:
                 # First-op failure: apply_batch re-raised the original
                 # error with the pre-batch state restored (a WAL append
                 # failure degrades the service and applies nothing --
                 # the singly retries then get coded read_only errors).
                 self._retry_singly([t for t, _, _ in resolved])
-                self._refresh_view()
             else:
                 self._record_flush(result.ops)
+                self._refresh_view()
                 for ticket, _, nodes in resolved:
                     self._finish_op(ticket, nodes, result.rebuilt, result.ops)
-                self._refresh_view()
         if deferred:
             self._retry_singly(deferred)
-            self._refresh_view()
 
     def _retry_singly(self, tickets: list[Ticket]) -> None:
         """A grouped flush was rolled back (state bit-identical to
-        pre-batch); re-apply one op at a time so each client learns the
-        fate of exactly its own op and failing ops are never admitted."""
+        pre-batch, so the read view is still current); re-apply one op
+        at a time so each client learns the fate of exactly its own op
+        and failing ops are never admitted."""
         service = self.service
         for ticket in tickets:
             if self._dedup_replay(ticket):
@@ -727,10 +720,13 @@ class ServiceEngine:
                 op, nodes = ticket.spec.resolve(service)
                 result = service.apply_batch([op])
             except Exception as exc:
+                if getattr(exc, "applied", False):
+                    self._refresh_view()  # the op stayed applied
                 self.stats.ops_failed += 1
                 ticket.resolve(exception_response(exc, ticket.request))
                 continue
             self._record_flush(result.ops)
+            self._refresh_view()
             self._finish_op(ticket, nodes, result.rebuilt, result.ops)
 
     @staticmethod

@@ -8,8 +8,12 @@ batch.  Snapshots **pin an epoch** (see :mod:`repro.histograms.epoch`):
 
 * the **label arrays and the element list** are shared by reference --
   every maintenance path (splices, vectorised relabels, full rebuilds)
-  *replaces* the containers on the live tree rather than mutating
-  them, so a snapshot's references stay internally consistent forever;
+  *replaces* the label arrays on the live tree rather than mutating
+  them, and *a list that was ever handed out is never written again*
+  (:meth:`~repro.labeling.interval.LabeledTree.share_elements`: the
+  live tree copies its element list before the first splice after a
+  snapshot and edits only that private copy in place), so a
+  snapshot's references stay internally consistent forever;
 * the catalog's per-predicate index arrays are shared the same way
   (index arrays are rebuilt, never written in place); the per-predicate
   stats rows are shallow-copied because the live side mutates those

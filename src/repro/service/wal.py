@@ -87,7 +87,7 @@ from repro.histograms.store import (
     tree_fingerprint,
     tree_fingerprint_from_parts,
 )
-from repro.service.batch import BatchError, DeleteOp, InsertOp
+from repro.service.batch import BatchError, DeleteOp, InsertOp, NodeRef
 from repro.storage.pagefile import (
     PageFile,
     encode_page_file,
@@ -806,8 +806,8 @@ def encode_ops(service, plan: Sequence[Union[InsertOp, DeleteOp]]) -> list[dict]
     """Serialise a normalized batch against the service's pre-batch tree.
 
     Must run before any operation mutates the tree: element handles are
-    resolved through the *current* numbering, and subtrees are written
-    out while still detached.
+    resolved through the *current* numbering (``NodeRef`` targets already
+    carry it), and subtrees are written out while still detached.
     """
     tree = service.tree
     inserted: dict[int, tuple[int, int]] = {}
@@ -836,6 +836,8 @@ def encode_ops(service, plan: Sequence[Union[InsertOp, DeleteOp]]) -> list[dict]
 
 
 def _encode_target(tree, target, inserted: dict[int, tuple[int, int]]):
+    if isinstance(target, NodeRef):
+        return ["node", int(target.index)]
     if not isinstance(target, Element):
         return ["index", int(target)]
     slot = inserted.get(id(target))
@@ -853,12 +855,12 @@ def decode_ops(service, entries: Sequence[dict]) -> list[Union[InsertOp, DeleteO
     """Rebuild a replayable batch from its logged form.
 
     Runs against the recovered pre-batch tree; ``["node", i]`` refs
-    re-materialise as element handles so the batch applier tracks them
-    through earlier splices exactly as it did live.
+    become :class:`~repro.service.batch.NodeRef` targets, which the
+    batch applier tracks through earlier splices exactly as it did the
+    live handles.
     """
     if isinstance(entries, ColumnarOps):
-        return _decode_ops_columnar(service, entries)
-    tree = service.tree
+        return _decode_ops_columnar(entries)
     subtrees: list[Optional[list[Element]]] = []
     ops: list[Union[InsertOp, DeleteOp]] = []
     for entry in entries:
@@ -866,25 +868,24 @@ def decode_ops(service, entries: Sequence[dict]) -> list[Union[InsertOp, DeleteO
             subtree = _parse_subtree(entry["xml"])
             ops.append(
                 InsertOp(
-                    _decode_target(tree, entry["parent"], subtrees),
+                    _decode_target(entry["parent"], subtrees),
                     subtree,
                     entry.get("position"),
                 )
             )
             subtrees.append(list(subtree.iter()))
         else:
-            ops.append(DeleteOp(_decode_target(tree, entry["node"], subtrees)))
+            ops.append(DeleteOp(_decode_target(entry["node"], subtrees)))
             subtrees.append(None)
     return ops
 
 
-def _decode_ops_columnar(service, cols: ColumnarOps) -> list[Union[InsertOp, DeleteOp]]:
+def _decode_ops_columnar(cols: ColumnarOps) -> list[Union[InsertOp, DeleteOp]]:
     """Replay fast path over a v2 record's columns: one ``tolist`` per
     column instead of a dict per op.  Targets resolve *before* the op's
     subtree joins the lookup list, preserving the op-reference ordering
     semantics of the dict path (an op can only reference earlier ops).
     """
-    tree = service.tree
     subtrees: list[Optional[list[Element]]] = []
     ops: list[Union[InsertOp, DeleteOp]] = []
     offs = cols.xml_offsets.tolist()
@@ -901,7 +902,7 @@ def _decode_ops_columnar(service, cols: ColumnarOps) -> list[Union[InsertOp, Del
         if ref_kind == 0:
             target = a
         elif ref_kind == 1:
-            target = tree.elements[a]
+            target = NodeRef(a)
         else:
             nodes = subtrees[a]
             if nodes is None:
@@ -921,12 +922,12 @@ def _decode_ops_columnar(service, cols: ColumnarOps) -> list[Union[InsertOp, Del
     return ops
 
 
-def _decode_target(tree, ref, subtrees: list[Optional[list[Element]]]):
+def _decode_target(ref, subtrees: list[Optional[list[Element]]]):
     kind = ref[0]
     if kind == "index":
         return int(ref[1])
     if kind == "node":
-        return tree.elements[int(ref[1])]
+        return NodeRef(int(ref[1]))
     if kind == "op":
         nodes = subtrees[int(ref[1])]
         if nodes is None:
@@ -2098,6 +2099,10 @@ def open_durable(
     )
 
 
+def _single_target(target):
+    return target.index if isinstance(target, NodeRef) else target
+
+
 def apply_logged_batch(service, payload: dict, committed: bool = False) -> bool:
     """Apply one logged batch record exactly as recovery replay does.
 
@@ -2115,11 +2120,14 @@ def apply_logged_batch(service, payload: dict, committed: bool = False) -> bool:
     try:
         ops = decode_ops(service, payload["ops"])
         if payload.get("single") and len(ops) == 1:
+            # One op: its pre-batch index *is* the current index.
             op = ops[0]
             if isinstance(op, InsertOp):
-                service.insert_subtree(op.parent, op.subtree, op.position)
+                service.insert_subtree(
+                    _single_target(op.parent), op.subtree, op.position
+                )
             else:
-                service.delete_subtree(op.node)
+                service.delete_subtree(_single_target(op.node))
         else:
             service.apply_batch(ops)
         return True

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.predicates.base import TagPredicate
-from repro.service import BatchError, DeleteOp, EstimationService, InsertOp
+from repro.service import BatchError, DeleteOp, EstimationService, InsertOp, NodeRef
 from repro.xmltree.tree import Document, Element
 
 TAGS = ["a", "b", "c", "d", "e"]
@@ -309,6 +309,48 @@ class TestMidBatchFaultInjection:
             service.apply_batch(
                 [InsertOp(0, doomed), DeleteOp(doomed), InsertOp(doomed, Element("e"))]
             )
+        assert_pre_batch_state(service, before)
+
+    @pytest.mark.parametrize("k", [1, 8, 15])
+    def test_noderef_window_failing_at_op_k(self, k):
+        """A 16-op window of pre-batch ``NodeRef`` targets whose op
+        ``k`` fails: element list (by identity), levels, the
+        incremental-checkpoint tracker and every summary come back."""
+        service, _ = make_pair(40 + k, 5, 64, 0.95)
+        service._reset_tracker()  # as after a full checkpoint ...
+        service.insert_subtree(0, Element("a"))  # ... with a delta on top
+        service.delete_subtree(len(service) - 2)
+        before = capture_state(service)
+        elements = list(service.tree.elements)
+        level = service.tree.level.copy()
+        max_label = service.tree.max_label
+        tracker = service._ckpt_tracker.copy()
+
+        rng = random.Random(k)
+        tree = service.tree
+        leaves = [
+            i for i in range(1, len(tree)) if tree.subtree_slice(i).stop == i + 1
+        ]
+        doomed = rng.choice(leaves)
+        parents = [i for i in range(len(tree)) if i != doomed]
+        ops = [DeleteOp(NodeRef(doomed))]
+        for _ in range(15):
+            ops.append(
+                InsertOp(
+                    NodeRef(rng.choice(parents)),
+                    random_subtree(rng),
+                    rng.choice([None, 0, 1]),
+                )
+            )
+        ops[k] = InsertOp(NodeRef(doomed), Element("e"))
+        with pytest.raises(BatchError, match="deleted earlier") as excinfo:
+            service.apply_batch(ops)
+        assert excinfo.value.applied is False
+        assert len(service.tree.elements) == len(elements)
+        assert all(a is b for a, b in zip(service.tree.elements, elements))
+        assert np.array_equal(service.tree.level, level)
+        assert service.tree.max_label == max_label
+        assert np.array_equal(service._ckpt_tracker, tracker)
         assert_pre_batch_state(service, before)
 
     def test_validation_phase_attached_subtree(self):

@@ -20,7 +20,9 @@ import pytest
 from repro.estimation import AnswerSizeEstimator
 from repro.predicates.base import TagPredicate
 from repro.service import EstimationService
+from repro.service.server import OpSpec
 from repro.xmltree.tree import Document, Element
+from repro.xmltree.writer import write_node
 
 TAGS = ["a", "b", "c", "d", "e"]
 
@@ -103,6 +105,59 @@ def test_random_sequence_matches_full_rebuild(config_index, seed):
         apply_random_op(service, rng)
         if step % 4 == 3:
             service.differential_check()
+    service.differential_check(QUERIES)
+
+
+def random_window(service: EstimationService, rng: random.Random, size: int):
+    """``size`` wire requests forming one admission group: every target
+    is an index into the *pre-window* tree, and none falls inside a
+    subtree an earlier request of the window deletes."""
+    tree = service.tree
+    dead = np.zeros(len(tree), dtype=bool)
+    requests = []
+    for _ in range(size):
+        alive = np.flatnonzero(~dead)
+        if rng.random() < 0.6 or len(alive) < 20:
+            position = rng.choice([None, None, 0, 1, 2, 5])
+            requests.append(
+                {
+                    "op": "insert",
+                    "parent": {"index": int(alive[rng.randrange(len(alive))])},
+                    "xml": write_node(random_subtree(rng)),
+                    "position": position,
+                }
+            )
+        else:
+            victim = int(alive[rng.randrange(1, len(alive))])  # keep the root
+            dead[tree.subtree_slice(victim)] = True
+            requests.append({"op": "delete", "node": {"index": victim}})
+    return requests
+
+
+@pytest.mark.parametrize("config_index", range(len(CONFIGS)))
+@pytest.mark.parametrize("seed", range(60))
+def test_random_windows_through_opspec_match_full_rebuild(config_index, seed):
+    """The same 240 sequences, driven the way the serve tier drives
+    them: 4-op windows whose every op goes through ``OpSpec.resolve``
+    (pre-window ``NodeRef`` targets) into one ``apply_batch``."""
+    grid_size, grid_kind, spacing, threshold, ops = CONFIGS[config_index]
+    rng = random.Random(1000 * config_index + seed)
+    document = random_document(rng, nodes=rng.randrange(30, 70))
+    service = EstimationService(
+        document,
+        grid_size=grid_size,
+        grid=grid_kind,
+        spacing=spacing,
+        rebuild_threshold=threshold,
+    )
+    prime(service, QUERIES)
+    for done in range(0, ops, 4):
+        requests = random_window(service, rng, min(4, ops - done))
+        result = service.apply_batch(
+            [OpSpec.from_request(r).resolve(service)[0] for r in requests]
+        )
+        assert result.ops == len(requests)
+        service.differential_check()
     service.differential_check(QUERIES)
 
 

@@ -526,6 +526,39 @@ class TestEstimationServer:
         finally:
             sock.close()
 
+    def test_an_ack_means_visible(self):
+        """200 x (16-op window, then an immediate *weak* estimate of a
+        query the window changes): the lock-free view must already be
+        on the epoch every acked op is in, i.e. equal the strong read."""
+        service = make_service(seed=43)
+        engine, server = serve_forever(service, max_ops=16, linger=0.005)
+        sock = raw_connection(server)
+        try:
+            fileobj = sock.makefile("rb")
+            window = b"".join(
+                encode_frame(
+                    {"op": "insert", "parent": {"tag": "root"}, "xml": "<a><b/></a>"}
+                )
+                for _ in range(16)
+            )
+            for _ in range(200):
+                sock.sendall(window)
+                assert all(read_frame(fileobj)["ok"] for _ in range(16))
+                sock.sendall(encode_frame({"op": "estimate", "query": "//a//b"}))
+                weak = read_frame(fileobj)
+                sock.sendall(
+                    encode_frame({"op": "estimate", "query": "//a//b", "strong": True})
+                )
+                strong = read_frame(fileobj)
+                assert weak["ok"] and strong["ok"]
+                assert weak["value"] == strong["value"]
+        finally:
+            sock.close()
+            server.stop()
+            server.join(timeout=10)
+            engine.close()
+            service.close()
+
     def test_malformed_frames_answered_and_connection_survives(self, served):
         service, engine, server = served
         sock = raw_connection(server)
